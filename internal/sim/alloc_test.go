@@ -77,3 +77,76 @@ func TestGroupRoundAllocFree(t *testing.T) {
 		t.Errorf("post+ingest+step cycle allocated %.1f objects per message, want 0", allocs)
 	}
 }
+
+// TestSleepAllocFree pins the proc Sleep round trip: the wake is a
+// pooled event carrying the proc (no closure, no fresh *Event) and the
+// handoff is a coroutine switch, so a steady sleep loop allocates
+// nothing per wake.
+func TestSleepAllocFree(t *testing.T) {
+	eng := New()
+	eng.Go("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(Nanosecond)
+		}
+	})
+	for i := 0; i < 64; i++ {
+		eng.Step()
+	}
+	if allocs := testing.AllocsPerRun(256, func() { eng.Step() }); allocs != 0 {
+		t.Errorf("Sleep round trip allocated %.1f objects, want 0", allocs)
+	}
+	eng.Shutdown()
+}
+
+// TestWakeAllocFree pins the blocking primitives' wake paths at zero
+// allocations in steady state: Signal.Wait → Broadcast → wake reuses the
+// waiter slice, and Semaphore block → Release → wake stores its waiter
+// by value and formats no reason string.
+func TestWakeAllocFree(t *testing.T) {
+	t.Run("signal", func(t *testing.T) {
+		eng := New()
+		sig := NewSignal(eng)
+		eng.Go("waiter", func(p *Proc) {
+			for {
+				sig.Wait(p, "tick")
+			}
+		})
+		eng.Go("waker", func(p *Proc) {
+			for {
+				p.Sleep(Nanosecond)
+				sig.Broadcast()
+			}
+		})
+		cycle := func() { eng.Step(); eng.Step() } // waker wake, waiter wake
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(256, cycle); allocs != 0 {
+			t.Errorf("Wait/Broadcast/wake cycle allocated %.1f objects, want 0", allocs)
+		}
+		eng.Shutdown()
+	})
+	t.Run("semaphore", func(t *testing.T) {
+		eng := New()
+		sem := NewSemaphore(eng, 0)
+		eng.Go("acquirer", func(p *Proc) {
+			for {
+				sem.Acquire(p, 2)
+			}
+		})
+		eng.Go("releaser", func(p *Proc) {
+			for {
+				p.Sleep(Nanosecond)
+				sem.Release(2)
+			}
+		})
+		cycle := func() { eng.Step(); eng.Step() } // releaser wake, acquirer wake
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(256, cycle); allocs != 0 {
+			t.Errorf("Acquire/Release/wake cycle allocated %.1f objects, want 0", allocs)
+		}
+		eng.Shutdown()
+	})
+}

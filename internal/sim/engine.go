@@ -10,7 +10,8 @@ type Event struct {
 	t        Time
 	seq      uint64
 	fn       func()
-	idx      int // heap index, -1 when not queued
+	proc     *Proc // non-nil: a proc wake (see wakeAt); fn is unused
+	idx      int   // heap index, -1 when not queued
 	canceled bool
 
 	// Sharded execution (see Group). Events ingested from another
@@ -27,9 +28,9 @@ type Event struct {
 
 	// pooled events return to the engine's free list when they fire.
 	// Only events whose pointer never escapes the sim package (mailbox
-	// ingestions, AtInfra bookkeeping) are pooled: an *Event returned by
-	// At/After may be held by the caller for Cancel, and recycling it
-	// would alias a later, unrelated event. The free list is per-engine
+	// ingestions, AtInfra bookkeeping, proc wakes) are pooled: an *Event
+	// returned by At/After may be held by the caller for Cancel, and
+	// recycling it would alias a later, unrelated event. The free list is per-engine
 	// and only touched by that engine's own execution, so reuse order is
 	// deterministic — unlike sync.Pool, it cannot vary with scheduling.
 	pooled bool
@@ -147,6 +148,17 @@ func (e *Engine) AtInfraKeyed(t Time, key uint64, fn func()) {
 	e.push(ev)
 }
 
+// wakeAt schedules a dispatch of p at absolute time t >= now. It takes a
+// sequence number exactly like At, so event order and step counts match
+// an At(t, func() { dispatch(p) }) — but the event is pooled and carries
+// the proc instead of a closure, so a proc wake allocates nothing.
+func (e *Engine) wakeAt(t Time, p *Proc) {
+	ev := e.alloc()
+	ev.t, ev.seq, ev.proc, ev.pooled = t, e.seq, p, true
+	e.seq++
+	e.push(ev)
+}
+
 // alloc returns a zeroed Event, reusing the free list when possible.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
@@ -196,13 +208,17 @@ func (e *Engine) Step() bool {
 		e.nsteps++
 		e.workEnd = ev.t
 	}
-	fn := ev.fn
+	fn, p := ev.fn, ev.proc
 	if ev.pooled {
 		// Recycle before running fn: the callback may schedule again and
 		// can reuse this very slot. fn never holds the event pointer.
 		e.recycle(ev)
 	}
-	fn()
+	if p != nil {
+		e.dispatch(p)
+	} else {
+		fn()
+	}
 	return true
 }
 
@@ -264,14 +280,14 @@ func (e *Engine) Blocked() []string {
 	var out []string
 	for p := range e.procs {
 		if p.blockedOn != "" {
-			out = append(out, p.name+": "+p.blockedOn)
+			out = append(out, p.name+": "+p.blockedReason())
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Shutdown kills all live procs so their goroutines exit. Call it when a
+// Shutdown kills all live procs so their coroutines exit. Call it when a
 // simulation is finished if the engine hosted server-style procs that
 // never terminate on their own. On a sharded engine Shutdown tears down
 // the whole group.

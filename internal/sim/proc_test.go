@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestProcSleep(t *testing.T) {
@@ -60,11 +63,74 @@ func TestProcPanicPropagates(t *testing.T) {
 		if r == nil {
 			t.Fatal("expected panic to propagate out of Run")
 		}
-		if !strings.Contains(r.(string), "kapow") || !strings.Contains(r.(string), "boom") {
-			t.Fatalf("panic message %q lacks proc name or cause", r)
+		msg := r.(string)
+		want := fmt.Sprintf("sim: proc %q panicked at %v: kapow", "boom", Time(Nanosecond))
+		if msg != want {
+			t.Fatalf("panic message %q, want %q (proc name, sim time, cause)", msg, want)
+		}
+		if len(e.procs) != 0 {
+			t.Fatal("panicked proc not reaped")
 		}
 	}()
 	e.Run()
+}
+
+// waitGoroutines polls until runtime.NumGoroutine is back to want: the
+// count of a goroutine that just exited may lag its exit by a moment.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got != want {
+		t.Fatalf("NumGoroutine = %d after Shutdown, want %d", got, want)
+	}
+}
+
+// TestProcShutdownReleasesGoroutines checks that Shutdown leaves no
+// coroutine behind, whatever state each proc is in: parked on a signal,
+// sleeping, never started, or already finished.
+func TestProcShutdownReleasesGoroutines(t *testing.T) {
+	cases := []struct {
+		name  string
+		setup func(e *Engine)
+		run   func(e *Engine)
+	}{
+		{"parked", func(e *Engine) {
+			sig := NewSignal(e)
+			e.Go("parked", func(p *Proc) {
+				for {
+					sig.Wait(p, "idle")
+				}
+			})
+		}, func(e *Engine) { e.Run() }},
+		{"sleeping", func(e *Engine) {
+			e.Go("sleeping", func(p *Proc) { p.Sleep(Second) })
+		}, func(e *Engine) { e.RunUntil(Time(Microsecond)) }},
+		{"never-started", func(e *Engine) {
+			e.Go("never-started", func(p *Proc) {})
+		}, func(e *Engine) {}},
+		{"finished", func(e *Engine) {
+			e.Go("finished", func(p *Proc) { p.Sleep(Nanosecond) })
+		}, func(e *Engine) { e.Run() }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := New()
+			for i := 0; i < 8; i++ {
+				c.setup(e)
+			}
+			c.run(e)
+			e.Shutdown()
+			if len(e.procs) != 0 {
+				t.Fatalf("%d procs remain after Shutdown", len(e.procs))
+			}
+			waitGoroutines(t, before)
+		})
+	}
 }
 
 func TestProcShutdown(t *testing.T) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -212,4 +213,55 @@ func TestShardStepAccounting(t *testing.T) {
 	if got := acct.Steps(); got != 2 {
 		t.Fatalf("account has %d steps, want 2 (1 local + 1 counted post; infra excluded)", got)
 	}
+}
+
+// TestShardedProcWake parks a proc on shard 1 of a two-shard group and
+// wakes it, round after round, with a Post from shard 0. Each wake runs
+// on shard 1's worker goroutine and each round hands the ping back
+// across; the final Shutdown resumes the parked proc from the caller's
+// goroutine. The proc must see every wake at its exact stamp and leave
+// no coroutine behind.
+func TestShardedProcWake(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng := New()
+	g := NewGroup(eng, 2, Microsecond)
+	e0, e1 := g.Engine(0), g.Engine(1)
+	rounds := 0
+	g.OnRound = func(Time, []bool) { rounds++ }
+
+	const wakes = 5
+	var woke []Time
+	var ping func()
+	proc := e1.Go("remote", func(p *Proc) {
+		for {
+			p.Park("grant")
+			woke = append(woke, p.Now())
+			e1.Post(0, p.Now().Add(Microsecond), false, ping)
+		}
+	})
+	ping = func() {
+		if len(woke) == wakes {
+			return
+		}
+		e0.Post(1, e0.Now().Add(Microsecond), false, func() { e1.Wake(proc) })
+	}
+	e0.At(0, ping)
+	eng.Run()
+
+	for i, at := range woke {
+		if want := Time(Duration(2*i+1) * Microsecond); at != want {
+			t.Fatalf("wake %d at %v, want %v (all wakes %v)", i, at, want, woke)
+		}
+	}
+	if len(woke) != wakes {
+		t.Fatalf("proc woke %d times, want %d", len(woke), wakes)
+	}
+	if rounds < 2*wakes {
+		t.Fatalf("%d rounds for %d cross-shard round trips, want at least %d", rounds, wakes, 2*wakes)
+	}
+	if got := e1.Blocked(); len(got) != 1 || got[0] != "remote: grant" {
+		t.Fatalf("shard 1 Blocked() = %v, want [remote: grant]", got)
+	}
+	eng.Shutdown()
+	waitGoroutines(t, before)
 }

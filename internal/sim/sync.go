@@ -25,12 +25,13 @@ func (s *Signal) Wait(p *Proc, reason string) {
 // delivered as zero-delay events, so they interleave deterministically
 // with other same-time events.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		w := w
-		s.eng.After(0, func() { s.eng.dispatch(w) })
+	// Wakes are deferred events, so nothing can Wait (append) during the
+	// loop; the slice is then truncated in place and its capacity reused.
+	for _, w := range s.waiters {
+		s.eng.wakeAt(s.eng.now, w)
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Pulse wakes only the first (oldest) waiter.
@@ -38,9 +39,9 @@ func (s *Signal) Pulse() {
 	if len(s.waiters) == 0 {
 		return
 	}
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	s.eng.After(0, func() { s.eng.dispatch(w) })
+	var w *Proc
+	w, s.waiters = popFront(s.waiters)
+	s.eng.wakeAt(s.eng.now, w)
 }
 
 // Waiting returns the number of procs currently waiting.
@@ -53,7 +54,7 @@ func (s *Signal) Waiting() int { return len(s.waiters) }
 type Semaphore struct {
 	eng   *Engine
 	avail int64
-	queue []*semWait
+	queue []semWait
 }
 
 type semWait struct {
@@ -79,8 +80,8 @@ func (s *Semaphore) Acquire(p *Proc, n int64) {
 		s.avail -= n
 		return
 	}
-	s.queue = append(s.queue, &semWait{p: p, n: n})
-	p.block(fmt.Sprintf("sem.acquire(%d)", n))
+	s.queue = append(s.queue, semWait{p: p, n: n})
+	p.blockArg("sem.acquire", n)
 }
 
 // TryAcquire takes n units without blocking; it reports whether it
@@ -104,11 +105,10 @@ func (s *Semaphore) Release(n int64) {
 
 func (s *Semaphore) drain() {
 	for len(s.queue) > 0 && s.queue[0].n <= s.avail {
-		w := s.queue[0]
-		s.queue = s.queue[1:]
+		var w semWait
+		w, s.queue = popFront(s.queue)
 		s.avail -= w.n
-		p := w.p
-		s.eng.After(0, func() { s.eng.dispatch(p) })
+		s.eng.wakeAt(s.eng.now, w.p)
 	}
 }
 
@@ -118,25 +118,42 @@ func (s *Semaphore) Available() int64 { return s.avail }
 // QueueLen returns the number of blocked acquirers.
 func (s *Semaphore) QueueLen() int { return len(s.queue) }
 
+// popFront removes q's head, zeroing its slot. A queue that empties is
+// truncated back to length zero in place, so a steady one-in, one-out
+// stream keeps reusing one backing array instead of allocating per item.
+func popFront[T any](q []T) (T, []T) {
+	v := q[0]
+	var zero T
+	q[0] = zero
+	if len(q) == 1 {
+		return v, q[:0]
+	}
+	return v, q[1:]
+}
+
 // Queue is a bounded FIFO of items with blocking Put/Get, modeling
 // hardware queues and mailboxes. A capacity of 0 means unbounded.
 type Queue[T any] struct {
 	eng      *Engine
-	name     string
 	capacity int
 	items    []T
 	changed  *Signal
+
+	putReason, getReason string // Blocked() text, built once
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
 func NewQueue[T any](e *Engine, name string, capacity int) *Queue[T] {
-	return &Queue[T]{eng: e, name: name, capacity: capacity, changed: NewSignal(e)}
+	return &Queue[T]{
+		eng: e, capacity: capacity, changed: NewSignal(e),
+		putReason: name + ".put", getReason: name + ".get",
+	}
 }
 
 // Put appends v, blocking while the queue is full.
 func (q *Queue[T]) Put(p *Proc, v T) {
 	for q.capacity > 0 && len(q.items) >= q.capacity {
-		q.changed.Wait(p, q.name+".put")
+		q.changed.Wait(p, q.putReason)
 	}
 	q.items = append(q.items, v)
 	q.changed.Broadcast()
@@ -155,10 +172,10 @@ func (q *Queue[T]) TryPut(v T) bool {
 // Get removes and returns the head item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
 	for len(q.items) == 0 {
-		q.changed.Wait(p, q.name+".get")
+		q.changed.Wait(p, q.getReason)
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	var v T
+	v, q.items = popFront(q.items)
 	q.changed.Broadcast()
 	return v
 }
@@ -169,8 +186,8 @@ func (q *Queue[T]) TryGet() (T, bool) {
 	if len(q.items) == 0 {
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	var v T
+	v, q.items = popFront(q.items)
 	q.changed.Broadcast()
 	return v, true
 }
@@ -190,6 +207,8 @@ type ByteFIFO struct {
 	capacity int64
 	level    int64
 	changed  *Signal
+
+	putReason, getReason, markReason string // Blocked() text, built once
 }
 
 // NewByteFIFO returns a FIFO holding up to capacity bytes.
@@ -197,7 +216,10 @@ func NewByteFIFO(e *Engine, name string, capacity int64) *ByteFIFO {
 	if capacity <= 0 {
 		panic("sim: ByteFIFO capacity must be positive")
 	}
-	return &ByteFIFO{eng: e, name: name, capacity: capacity, changed: NewSignal(e)}
+	return &ByteFIFO{
+		eng: e, capacity: capacity, changed: NewSignal(e),
+		putReason: name + ".put", getReason: name + ".get", markReason: name + ".belowmark",
+	}
 }
 
 // Put inserts n bytes, blocking until there is room for all of them.
@@ -206,7 +228,7 @@ func (f *ByteFIFO) Put(p *Proc, n int64) {
 		panic(fmt.Sprintf("sim: %s: put %d exceeds capacity %d", f.name, n, f.capacity))
 	}
 	for f.level+n > f.capacity {
-		f.changed.Wait(p, f.name+".put")
+		f.changed.Wait(p, f.putReason)
 	}
 	f.level += n
 	f.changed.Broadcast()
@@ -215,7 +237,7 @@ func (f *ByteFIFO) Put(p *Proc, n int64) {
 // Get removes n bytes, blocking until they are present.
 func (f *ByteFIFO) Get(p *Proc, n int64) {
 	for f.level < n {
-		f.changed.Wait(p, f.name+".get")
+		f.changed.Wait(p, f.getReason)
 	}
 	f.level -= n
 	f.changed.Broadcast()
@@ -224,7 +246,7 @@ func (f *ByteFIFO) Get(p *Proc, n int64) {
 // GetUpTo removes up to max bytes (at least 1), blocking while empty.
 func (f *ByteFIFO) GetUpTo(p *Proc, max int64) int64 {
 	for f.level == 0 {
-		f.changed.Wait(p, f.name+".get")
+		f.changed.Wait(p, f.getReason)
 	}
 	n := f.level
 	if n > max {
@@ -238,7 +260,7 @@ func (f *ByteFIFO) GetUpTo(p *Proc, max int64) int64 {
 // WaitLevelBelow blocks until the fill level drops below mark.
 func (f *ByteFIFO) WaitLevelBelow(p *Proc, mark int64) {
 	for f.level >= mark {
-		f.changed.Wait(p, f.name+".belowmark")
+		f.changed.Wait(p, f.markReason)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -231,6 +232,37 @@ func TestSignalPulseWakesOne(t *testing.T) {
 	}
 	if s.Waiting() != 2 {
 		t.Fatalf("waiting = %d, want 2", s.Waiting())
+	}
+	e.Shutdown()
+}
+
+// TestBlockedReasons pins the Blocked() text of every blocking primitive,
+// including the semaphore's "(n)" suffix that is formatted only here.
+func TestBlockedReasons(t *testing.T) {
+	e := New()
+	sem := NewSemaphore(e, 0)
+	full := NewQueue[int](e, "full", 1)
+	full.TryPut(0)
+	empty := NewQueue[int](e, "empty", 0)
+	fifo := NewByteFIFO(e, "fifo", 8)
+	fifo.Put(nil, 8)
+	drained := NewByteFIFO(e, "drained", 8)
+	e.Go("a", func(p *Proc) { sem.Acquire(p, 3) })
+	e.Go("b", func(p *Proc) { full.Put(p, 1) })
+	e.Go("c", func(p *Proc) { empty.Get(p) })
+	e.Go("d", func(p *Proc) { fifo.Put(p, 1) })
+	e.Go("e", func(p *Proc) { drained.Get(p, 1) })
+	e.Go("f", func(p *Proc) { drained.GetUpTo(p, 4) })
+	e.Go("g", func(p *Proc) { fifo.WaitLevelBelow(p, 4) })
+	e.Go("h", func(p *Proc) { p.Sleep(Second) })
+	e.Go("i", func(p *Proc) { p.Park("grant") })
+	e.RunUntil(Time(Microsecond))
+	want := []string{
+		"a: sem.acquire(3)", "b: full.put", "c: empty.get", "d: fifo.put",
+		"e: drained.get", "f: drained.get", "g: fifo.belowmark", "h: sleep", "i: grant",
+	}
+	if got := e.Blocked(); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("Blocked() = %q\nwant        %q", got, want)
 	}
 	e.Shutdown()
 }
